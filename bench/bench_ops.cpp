@@ -28,7 +28,9 @@ namespace {
 using namespace mtlsplit;
 
 /// Standard counters: problem size, pool lanes, and flops as a rate
-/// (rendered as GFLOP/s, stored as flops-per-second in the JSON).
+/// (rendered as GFLOP/s, stored as flops-per-second in the JSON). The rate
+/// divides by wall time on benchmarks registered with UseRealTime(), by
+/// main-thread CPU time otherwise.
 void set_op_counters(benchmark::State& state, int64_t size,
                      int64_t flops_per_iter) {
   state.counters["size"] = static_cast<double>(size);
@@ -81,17 +83,25 @@ void BM_MatMulTn(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTn)->Arg(64)->Arg(128);
 
+// Batch-1 conv at a given channel count and square input size; the 48x48
+// 16->16 and 6x6 64->64 cases are the widest and the narrowest VGG16-edge
+// layers of the lossy-wire perfbench workload.
 void BM_Conv2dForward(benchmark::State& state) {
   const auto c = state.range(0);
+  const auto hw = state.range(1);
   Rng rng(3);
   nn::Conv2d conv(c, c, 3, 1, 1, rng);
-  Tensor x({1, c, 16, 16});
+  Tensor x({1, c, hw, hw});
   rng.fill_uniform(x, -1.0f, 1.0f);
   for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
-  state.SetItemsProcessed(state.iterations() * conv.flops({1, c, 16, 16}));
-  set_op_counters(state, c, conv.flops({1, c, 16, 16}));
+  state.SetItemsProcessed(state.iterations() * conv.flops({1, c, hw, hw}));
+  set_op_counters(state, c, conv.flops({1, c, hw, hw}));
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dForward)
+    ->ArgNames({"c", "hw"})
+    ->Args({8, 16})->Args({16, 16})->Args({32, 16})
+    ->Args({16, 48})->Args({64, 6})
+    ->UseRealTime();
 
 // Batch-level conv parallelism with the persistent im2col workspace.
 void BM_Conv2dForwardBatch(benchmark::State& state) {
@@ -104,7 +114,7 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * conv.flops({n, 16, 16, 16}));
   set_op_counters(state, n, conv.flops({n, 16, 16, 16}));
 }
-BENCHMARK(BM_Conv2dForwardBatch)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_Conv2dForwardBatch)->Arg(1)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_Conv2dBackward(benchmark::State& state) {
   const auto c = state.range(0);
@@ -120,7 +130,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
     conv.zero_grad();
   }
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16);
+BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_DepthwiseForward(benchmark::State& state) {
   const auto c = state.range(0);
@@ -130,7 +140,7 @@ void BM_DepthwiseForward(benchmark::State& state) {
   rng.fill_uniform(x, -1.0f, 1.0f);
   for (auto _ : state) benchmark::DoNotOptimize(dw.forward(x));
 }
-BENCHMARK(BM_DepthwiseForward)->Arg(16)->Arg(64);
+BENCHMARK(BM_DepthwiseForward)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_BatchNormForward(benchmark::State& state) {
   Rng rng(6);
@@ -184,8 +194,10 @@ BENCHMARK(BM_SoftmaxRows);
 
 // Whole-backbone forward, eager Module::forward vs the compiled graph
 // executor (exact = bitwise plan, fused = BN-folded plan), batch 8 at the
-// serving image size. CI gates on compiled-never-slower-than-eager for the
-// VGG edge slice using these entries (args: backbone kind / mode).
+// serving image size, timed by wall clock (the pool's lanes do the work, so
+// main-thread CPU time would undercount it). CI gates on
+// compiled-never-slower-than-eager for the VGG edge slice using the medians
+// of repeated runs of these entries (args: backbone kind / mode).
 void BM_BackboneForward(benchmark::State& state) {
   const auto kind = static_cast<models::BackboneKind>(state.range(0));
   const int64_t mode = state.range(1);  // 0 = eager, 1 = exact, 2 = fused
@@ -210,7 +222,8 @@ BENCHMARK(BM_BackboneForward)
     ->ArgNames({"bb", "mode"})
     ->Args({0, 0})->Args({0, 1})->Args({0, 2})   // VGG16
     ->Args({1, 0})->Args({1, 1})->Args({1, 2})   // MobileNetV3
-    ->Args({2, 0})->Args({2, 1})->Args({2, 2});  // EfficientNet
+    ->Args({2, 0})->Args({2, 1})->Args({2, 2})   // EfficientNet
+    ->UseRealTime();
 
 }  // namespace
 

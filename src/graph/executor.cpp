@@ -75,14 +75,6 @@ inline void act_map(ActFn fn, const float* x, float* o, int64_t n) {
   }
 }
 
-// Bias + activation in one pass over the plane. Bitwise equal to the
-// two-sweep form (`p[j] += b` then `p[j] = act(p[j])`): each element sees
-// the identical add-then-activate instruction stream either way.
-template <ActFn fn>
-void bias_act_loop(float* p, int64_t n, float b) {
-  for (int64_t j = 0; j < n; ++j) p[j] = apply_act(fn, p[j] + b);
-}
-
 // Eval-BN per-channel affine with an optional fused activation, one pass.
 template <ActFn fn>
 void bn_affine_loop(const float* x, float* o, int64_t n, float ga, float mean,
@@ -107,23 +99,6 @@ inline void bn_affine_act(ActFn fn, const float* x, float* o, int64_t n,
       return bn_affine_loop<ActFn::kHardSwish>(x, o, n, ga, mean, inv_std, be);
     case ActFn::kSiLU:
       return bn_affine_loop<ActFn::kSiLU>(x, o, n, ga, mean, inv_std, be);
-  }
-}
-
-inline void bias_act(ActFn fn, float* p, int64_t n, float b) {
-  switch (fn) {
-    case ActFn::kNone:
-      return bias_act_loop<ActFn::kNone>(p, n, b);
-    case ActFn::kReLU:
-      return bias_act_loop<ActFn::kReLU>(p, n, b);
-    case ActFn::kSigmoid:
-      return bias_act_loop<ActFn::kSigmoid>(p, n, b);
-    case ActFn::kHardSigmoid:
-      return bias_act_loop<ActFn::kHardSigmoid>(p, n, b);
-    case ActFn::kHardSwish:
-      return bias_act_loop<ActFn::kHardSwish>(p, n, b);
-    case ActFn::kSiLU:
-      return bias_act_loop<ActFn::kSiLU>(p, n, b);
   }
 }
 
@@ -208,10 +183,8 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
 
   switch (node.kind) {
     case OpKind::kConv2d: {
-      const int64_t k = node.kernel, oh = node.out_h, ow = node.out_w;
-      const int64_t fan_in = node.in_c * k * k;
       const int64_t in_stride = node.in_c * node.in_h * node.in_w;
-      const int64_t out_stride = node.out_c * oh * ow;
+      const int64_t out_stride = node.out_c * node.out_h * node.out_w;
       const float* pw = g.consts[static_cast<size_t>(node.weight)].data();
       const float* pb =
           node.bias >= 0 ? g.consts[static_cast<size_t>(node.bias)].data()
@@ -220,25 +193,22 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
       geom.in_c = node.in_c;
       geom.in_h = node.in_h;
       geom.in_w = node.in_w;
-      geom.kernel_h = k;
-      geom.kernel_w = k;
+      geom.kernel_h = node.kernel;
+      geom.kernel_w = node.kernel;
       geom.stride = node.stride;
       geom.pad = node.pad;
       const ActFn act = node.act;
+      // The eager layer's per-sample routine, then the fused activation.
       auto sample = [&](int64_t i, float* cols) {
-        im2col(px + i * in_stride, geom, cols);
         float* yout = po + i * out_stride;
-        ops::detail::gemm(node.out_c, oh * ow, fan_in, pw, cols, yout);
-        if (pb != nullptr)
-          for (int64_t c = 0; c < node.out_c; ++c)
-            bias_act(act, yout + c * oh * ow, oh * ow, pb[c]);
-        else
-          act_map(act, yout, yout, out_stride);
+        conv2d_sample(px + i * in_stride, geom, node.out_c, pw, pb, cols,
+                      yout);
+        act_map(act, yout, yout, out_stride);
       };
       if (nb == 1 || runtime::num_threads() == 1) {
         // Serial over samples: the patch matrix comes from the plan's own
-        // arena (the statically planned scratch region), and the GEMM
-        // parallelizes internally over row blocks instead.
+        // arena (the statically planned scratch region), and im2col and the
+        // GEMM parallelize internally instead.
         float* cols = arena_.data() + g.arena_per_sample * nb;
         for (int64_t i = 0; i < nb; ++i) sample(i, cols);
       } else {
@@ -246,7 +216,7 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
         // their thread-local workspace exactly like the eager layer.
         runtime::parallel_for(0, nb, 1, [&](int64_t lo, int64_t hi) {
           float* cols = runtime::tls_workspace().floats(
-              runtime::Workspace::kIm2col, fan_in * oh * ow);
+              runtime::Workspace::kIm2col, conv_scratch_size(geom));
           for (int64_t i = lo; i < hi; ++i) sample(i, cols);
         });
       }

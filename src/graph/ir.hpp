@@ -100,7 +100,7 @@ struct Graph {
   // Filled in by the workspace-planning pass (all per sample; the executor
   // multiplies by the batch size).
   int64_t arena_per_sample = 0;         ///< floats for every live value
-  int64_t conv_scratch_per_sample = 0;  ///< floats for the im2col patch matrix
+  int64_t conv_scratch_per_sample = 0;  ///< floats for the packed patch matrix
   int64_t dw_tap_ints = 0;  ///< int32s for the depthwise valid-tap table
 
   int new_value(Shape shape, std::string name);

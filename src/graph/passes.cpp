@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 
+#include "tensor/gemm.hpp"
+
 namespace mtlsplit::graph {
 
 std::vector<PassReport> PassManager::run(Graph& g) {
@@ -199,9 +201,11 @@ int PlanWorkspace::run(Graph& g) {
   int64_t conv_scratch = 0, dw_taps = 0;
   for (const Node& n : g.nodes) {
     if (n.kind == OpKind::kConv2d) {
+      // The patch matrix in gemm_packed's strip layout (last strip padded).
       conv_scratch = std::max(
           conv_scratch,
-          aligned(n.in_c * n.kernel * n.kernel * n.out_h * n.out_w));
+          aligned(ops::detail::packed_size(n.in_c * n.kernel * n.kernel,
+                                           n.out_h * n.out_w)));
     } else if (n.kind == OpKind::kDepthwiseConv2d) {
       // Per output position: a tap count plus (weight index, input offset)
       // pairs for every in-bounds tap.

@@ -59,31 +59,22 @@ Tensor Conv2d::forward(const Tensor& x) {
   cached_input_ = x;
 
   Tensor out({n, out_c_, oh, ow});
-  const int64_t fan_in = in_c_ * kernel_ * kernel_;
   const int64_t in_stride = in_c_ * h * w;
   const int64_t out_stride = out_c_ * oh * ow;
   const float* px = x.data();
   const float* pw = weight_.value.data();
   const float* pb = with_bias_ ? bias_.value.data() : nullptr;
   float* po = out.data();
-  // Batch-level parallelism; each lane keeps one persistent im2col patch
+  // Batch-level parallelism; each lane keeps one persistent packed patch
   // matrix in its thread-local workspace instead of a fresh Tensor per
-  // sample. For n == 1 (edge inference) the loop runs inline and the GEMM
-  // parallelizes over its row blocks instead.
+  // sample. For n == 1 (edge inference) the loop runs inline and im2col and
+  // the GEMM parallelize internally instead.
   runtime::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    float* cols = runtime::tls_workspace().floats(
-        runtime::Workspace::kIm2col, fan_in * oh * ow);
-    for (int64_t i = lo; i < hi; ++i) {
-      im2col(px + i * in_stride, g, cols);
-      float* yout = po + i * out_stride;
-      ops::detail::gemm(out_c_, oh * ow, fan_in, pw, cols, yout);
-      if (pb != nullptr)
-        for (int64_t c = 0; c < out_c_; ++c) {
-          const float b = pb[c];
-          float* plane = yout + c * oh * ow;
-          for (int64_t j = 0; j < oh * ow; ++j) plane[j] += b;
-        }
-    }
+    float* cols = runtime::tls_workspace().floats(runtime::Workspace::kIm2col,
+                                                  conv_scratch_size(g));
+    for (int64_t i = lo; i < hi; ++i)
+      conv2d_sample(px + i * in_stride, g, out_c_, pw, pb, cols,
+                    po + i * out_stride);
   });
   return out;
 }

@@ -13,7 +13,7 @@
 //    MTLSPLIT_NUM_THREADS=1) degrades to plain serial execution.
 //  * Nested parallel_for calls run serially on the worker that issued them;
 //    this keeps batch-level parallelism (conv over samples) from deadlocking
-//    against op-level parallelism (GEMM row blocks) on the same pool.
+//    against op-level parallelism (GEMM tiles) on the same pool.
 //  * Concurrent parallel_for calls from different external threads are
 //    supported (the SC deployment pipeline runs edge and server compute
 //    stages at the same time); jobs share the worker set fairly.

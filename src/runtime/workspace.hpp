@@ -1,10 +1,10 @@
 // Per-thread scratch arenas for kernel workspaces (DESIGN.md §7).
 //
-// Hot kernels (im2col-lowered convolution, transposed GEMM operands) need
-// large scratch buffers whose size repeats call after call. Allocating a
-// fresh Tensor per sample per call dominated the seed profile; a Workspace
-// instead hands out slot-keyed buffers that persist for the lifetime of the
-// thread and only ever grow.
+// Hot kernels (im2col-lowered convolution, transposed and packed GEMM
+// operands) need large scratch buffers whose size repeats call after call.
+// Allocating a fresh Tensor per sample per call dominated the seed profile;
+// a Workspace instead hands out slot-keyed buffers that persist for the
+// lifetime of the thread and only ever grow.
 //
 // Rules:
 //  * tls_workspace() is private to the calling thread — safe inside
@@ -26,7 +26,8 @@ class Workspace {
   /// Scratch-buffer purposes. One live buffer per slot per thread.
   enum Slot : int {
     kIm2col = 0,      ///< conv patch matrix
-    kGemmOperand,     ///< transposed/packed GEMM input
+    kGemmOperand,     ///< transposed GEMM input (matmul_tn's A^T)
+    kGemmPack,        ///< gemm's packed-strip copy of B
     kConvScratch,     ///< conv backward column gradients
     kReduce,          ///< per-chunk partial reductions
     kSlotCount

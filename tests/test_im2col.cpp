@@ -2,6 +2,11 @@
 // that underpins convolution's backward pass.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "runtime/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -106,6 +111,77 @@ INSTANTIATE_TEST_SUITE_P(
                       GeomParam{2, 7, 5, 5, 2, 2}, GeomParam{4, 6, 6, 1, 1, 0},
                       GeomParam{1, 9, 9, 3, 3, 0},
                       GeomParam{2, 10, 10, 5, 1, 2}));
+
+// Property: both patch-matrix layouts equal a naive per-element gather bit
+// for bit — row-major, and packed strips with the last strip zero-padded —
+// over kernels 1-5, strides 1-3, padding 0-2, non-square inputs and 1-5
+// channels. The larger input spreads the packed fill over several pool
+// chunks; it runs at 1 and 4 lanes.
+TEST(Im2col, MatchesNaiveGatherInBothLayouts) {
+  struct LaneGuard {
+    int restore = runtime::num_threads();
+    ~LaneGuard() { runtime::set_num_threads(restore); }
+  } guard;
+  Rng rng(5);
+  int checked = 0;
+  for (const int lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    for (const auto [h, w] : {std::pair<int64_t, int64_t>{5, 7}, {9, 4},
+                              {23, 37}})
+      for (int64_t c = 1; c <= 5; ++c)
+        for (int64_t k = 1; k <= 5; ++k)
+          for (int64_t stride = 1; stride <= 3; ++stride)
+            for (int64_t pad = 0; pad <= 2; ++pad) {
+              const ConvGeom g{.in_c = c, .in_h = h, .in_w = w, .kernel_h = k,
+                               .kernel_w = k, .stride = stride, .pad = pad};
+              if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+              const int64_t oh = g.out_h(), ow = g.out_w(), n = oh * ow;
+              const int64_t rows = c * k * k;
+              Tensor img({c, h, w});
+              rng.fill_uniform(img, -1.0f, 1.0f);
+
+              std::vector<float> ref(static_cast<size_t>(rows * n));
+              for (int64_t ch = 0; ch < c; ++ch)
+                for (int64_t kh = 0; kh < k; ++kh)
+                  for (int64_t kw = 0; kw < k; ++kw)
+                    for (int64_t y = 0; y < oh; ++y)
+                      for (int64_t x = 0; x < ow; ++x) {
+                        const int64_t iy = y * stride + kh - pad;
+                        const int64_t ix = x * stride + kw - pad;
+                        const bool in = iy >= 0 && iy < h && ix >= 0 && ix < w;
+                        ref[static_cast<size_t>(
+                            ((ch * k + kh) * k + kw) * n + y * ow + x)] =
+                            in ? img[(ch * h + iy) * w + ix] : 0.0f;
+                      }
+
+              std::vector<float> flat(ref.size(), -7.0f);
+              im2col(img.data(), g, flat.data());
+              ASSERT_EQ(std::memcmp(flat.data(), ref.data(),
+                                    ref.size() * sizeof(float)),
+                        0)
+                  << "row-major: c=" << c << " " << h << "x" << w
+                  << " k=" << k << " s=" << stride << " p=" << pad;
+
+              const int64_t size = ops::detail::packed_size(rows, n);
+              ASSERT_EQ(conv_scratch_size(g), size);
+              std::vector<float> packed(static_cast<size_t>(size), -7.0f);
+              im2col_packed(img.data(), g, packed.data());
+              std::vector<float> want(packed.size());
+              const int64_t sw = ops::detail::kStripWidth;
+              for (int64_t r = 0; r < rows; ++r)
+                for (int64_t j = 0; j < size / rows; ++j)
+                  want[static_cast<size_t>((j / sw * rows + r) * sw + j % sw)] =
+                      j < n ? ref[static_cast<size_t>(r * n + j)] : 0.0f;
+              ASSERT_EQ(std::memcmp(packed.data(), want.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << "packed: lanes=" << lanes << " c=" << c << " " << h
+                  << "x" << w << " k=" << k << " s=" << stride << " p=" << pad;
+              ++checked;
+            }
+  }
+  EXPECT_GT(checked, 500);
+}
 
 TEST(Col2im, ShapeMismatchThrows) {
   const ConvGeom g{.in_c = 1, .in_h = 4, .in_w = 4, .kernel_h = 3,

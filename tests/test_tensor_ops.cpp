@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
+#include "runtime/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -126,6 +131,85 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(5, 1, 7), std::make_tuple(8, 8, 8),
                       std::make_tuple(3, 17, 2), std::make_tuple(16, 5, 11)));
+
+// Regression: matmul_tn holds its transposed A in the kGemmOperand slot
+// across the inner gemm, whose packed copy of B lives in its own slot. Run on
+// a fresh thread (empty workspace) with B growing shape after shape, so a
+// pack buffer sharing the operand's slot would reallocate it mid-call.
+TEST(MatMul, TnMatchesExplicitTransposeBitwiseWhilePackBufferGrows) {
+  std::thread([] {
+    Rng rng(41);
+    for (const auto [m, k, n] : {std::make_tuple(3, 2, 5),
+                                 std::make_tuple(40, 8, 300),
+                                 std::make_tuple(64, 16, 1000),
+                                 std::make_tuple(200, 4, 2500)}) {
+      Tensor a({m, k});
+      Tensor b({m, n});
+      rng.fill_uniform(a, -1.0f, 1.0f);
+      rng.fill_uniform(b, -1.0f, 1.0f);
+      const Tensor tn = ops::matmul_tn(a, b);
+      const Tensor ref = ops::matmul(ops::transpose2d(a), b);
+      ASSERT_EQ(tn.shape(), ref.shape());
+      EXPECT_EQ(std::memcmp(tn.data(), ref.data(),
+                            static_cast<size_t>(ref.numel()) * sizeof(float)),
+                0)
+          << "m=" << m << " k=" << k << " n=" << n;
+    }
+  }).join();
+}
+
+// The AVX2/FMA GEMM contract: every C element starts at 0 and takes one
+// std::fma per k in index order, whatever its column (full strip or padded
+// last strip), its row (any micro-tile height) or the lane count. Shapes
+// cover every N mod 16 and M mod 6 residue, K = 1, and multi-tile sizes.
+TEST(Gemm, MatchesScalarFmaReferenceBitwise) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+    GTEST_SKIP() << "scalar GEMM fallback active (no AVX2/FMA)";
+#else
+  GTEST_SKIP() << "scalar GEMM fallback active (not x86)";
+#endif
+  struct Dims {
+    int64_t m, n, k;
+  };
+  std::vector<Dims> shapes;
+  Rng rng(7);
+  for (int64_t r = 0; r < 16; ++r) {
+    const int64_t m = 1 + (r % 6) + 6 * (r % 3);  // every M mod 6 residue
+    const int64_t n = (r == 0 ? 16 : r) + 16 * (r % 4);
+    shapes.push_back({m, n, r % 5 == 0 ? 1 : 1 + (r * 7) % 41});
+  }
+  shapes.push_back({1, 1, 1});
+  shapes.push_back({31, 300, 33});  // several row blocks and panels
+  shapes.push_back({64, 36, 576});  // VGG 6x6 stage: padded last strip
+
+  struct LaneGuard {
+    int restore = runtime::num_threads();
+    ~LaneGuard() { runtime::set_num_threads(restore); }
+  } guard;
+  for (const int lanes : {1, 2, 4}) {
+    runtime::set_num_threads(lanes);
+    for (const Dims& d : shapes) {
+      Tensor a({d.m, d.k});
+      Tensor b({d.k, d.n});
+      rng.fill_uniform(a, -1.0f, 1.0f);
+      rng.fill_uniform(b, -1.0f, 1.0f);
+      std::vector<float> c(static_cast<size_t>(d.m * d.n));
+      ops::detail::gemm(d.m, d.n, d.k, a.data(), b.data(), c.data());
+      for (int64_t i = 0; i < d.m; ++i)
+        for (int64_t j = 0; j < d.n; ++j) {
+          float ref = 0.0f;
+          for (int64_t kk = 0; kk < d.k; ++kk)
+            ref = std::fma(a[i * d.k + kk], b[kk * d.n + j], ref);
+          const float got = c[static_cast<size_t>(i * d.n + j)];
+          ASSERT_EQ(std::memcmp(&got, &ref, sizeof(float)), 0)
+              << "lanes=" << lanes << " m=" << d.m << " n=" << d.n
+              << " k=" << d.k << " at (" << i << ", " << j << "): " << got
+              << " vs " << ref;
+        }
+    }
+  }
+}
 
 TEST(Softmax, RowsSumToOne) {
   Rng rng(3);

@@ -28,9 +28,9 @@ namespace {
 using namespace mtlsplit;
 
 /// Standard counters: problem size, pool lanes, and flops as a rate
-/// (rendered as GFLOP/s, stored as flops-per-second in the JSON). The rate
-/// divides by wall time on benchmarks registered with UseRealTime(), by
-/// main-thread CPU time otherwise.
+/// (rendered as GFLOP/s, stored as flops-per-second in the JSON). Every
+/// benchmark here is registered with UseRealTime(), so the rate divides by
+/// wall time, which counts the pool lanes' work too.
 void set_op_counters(benchmark::State& state, int64_t size,
                      int64_t flops_per_iter) {
   state.counters["size"] = static_cast<double>(size);
@@ -51,7 +51,9 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   set_op_counters(state, n, 2 * n * n * n);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_MatMul)
+    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
+    ->UseRealTime();
 
 // GEMM thread-scaling curve at the acceptance shape (256^3), measured
 // wall-clock: the pool is pinned to the requested lane count.
@@ -81,7 +83,7 @@ void BM_MatMulTn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   set_op_counters(state, n, 2 * n * n * n);
 }
-BENCHMARK(BM_MatMulTn)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMulTn)->Arg(64)->Arg(128)->UseRealTime();
 
 // Batch-1 conv at a given channel count and square input size; the 48x48
 // 16->16 and 6x6 64->64 cases are the widest and the narrowest VGG16-edge
@@ -149,7 +151,7 @@ void BM_BatchNormForward(benchmark::State& state) {
   rng.fill_normal(x, 0.0f, 1.0f);
   for (auto _ : state) benchmark::DoNotOptimize(bn.forward(x));
 }
-BENCHMARK(BM_BatchNormForward);
+BENCHMARK(BM_BatchNormForward)->UseRealTime();
 
 void BM_Im2col(benchmark::State& state) {
   Rng rng(7);
@@ -163,7 +165,7 @@ void BM_Im2col(benchmark::State& state) {
     benchmark::DoNotOptimize(cols.data());
   }
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)->UseRealTime();
 
 void BM_SerializeZb(benchmark::State& state) {
   // A realistic Z_b: MobileNetV3-Small's 28k floats.
@@ -173,7 +175,7 @@ void BM_SerializeZb(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(serialize_tensor(zb));
   state.SetBytesProcessed(state.iterations() * zb.numel() * 4);
 }
-BENCHMARK(BM_SerializeZb);
+BENCHMARK(BM_SerializeZb)->UseRealTime();
 
 void BM_QuantizeZb(benchmark::State& state) {
   Rng rng(9);
@@ -182,7 +184,7 @@ void BM_QuantizeZb(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(sc::quantize_int8(zb));
   state.SetBytesProcessed(state.iterations() * zb.numel() * 4);
 }
-BENCHMARK(BM_QuantizeZb);
+BENCHMARK(BM_QuantizeZb)->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(10);
@@ -190,7 +192,7 @@ void BM_SoftmaxRows(benchmark::State& state) {
   rng.fill_normal(x, 0.0f, 3.0f);
   for (auto _ : state) benchmark::DoNotOptimize(ops::softmax_rows(x));
 }
-BENCHMARK(BM_SoftmaxRows);
+BENCHMARK(BM_SoftmaxRows)->UseRealTime();
 
 // Whole-backbone forward, eager Module::forward vs the compiled graph
 // executor (exact = bitwise plan, fused = BN-folded plan), batch 8 at the

@@ -289,7 +289,9 @@ void lower_module(Graph& g, nn::Module& m, const std::string& label,
   } else if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
     lower_sequential(g, *seq, label + "/", cur);
   } else {
-    check_arg(false, msg_cat("graph::lower: unsupported layer ", m.name()));
+    // name() builds a string, so it is formatted only here, on the throw.
+    throw std::invalid_argument(
+        msg_cat("graph::lower: unsupported layer ", m.name()));
   }
   cur.shape = out_shape;
 }

@@ -24,8 +24,10 @@ Tensor Activation::forward(const Tensor& x) {
 }
 
 Tensor Activation::backward(const Tensor& grad_out) {
-  check_arg(grad_out.shape() == cached_input_.shape(),
-            msg_cat(name(), "::backward: gradient shape mismatch"));
+  // name() builds a string, so it is formatted only here, on the throw.
+  if (grad_out.shape() != cached_input_.shape())
+    throw std::invalid_argument(
+        msg_cat(name(), "::backward: gradient shape mismatch"));
   Tensor out(grad_out.shape());
   const float* pg = grad_out.data();
   const float* px = cached_input_.data();

@@ -13,9 +13,9 @@ constexpr uint32_t kMagic = 0x4D54434B;  // 'MTCK'
 
 template <typename T>
 void put(std::vector<uint8_t>& out, T value) {
-  uint8_t buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.insert(out.end(), buf, buf + sizeof(T));
+  const size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 template <typename T>
@@ -49,9 +49,8 @@ Tensor get_record(const std::vector<uint8_t>& bytes, size_t& pos,
                          bytes.begin() +
                              static_cast<std::ptrdiff_t>(pos + name_len));
   pos += name_len;
-  check_arg(name == expected_name,
-            msg_cat("checkpoint: record name mismatch, file '", name,
-                    "' vs model '", expected_name, "'"));
+  check_arg(name == expected_name, "checkpoint: record name mismatch, file '",
+            name, "' vs model '", expected_name, "'");
   const auto wire_len = get<uint32_t>(bytes, pos);
   check_arg(pos + wire_len <= bytes.size(), "checkpoint: truncated tensor");
   const std::vector<uint8_t> wire(
@@ -61,10 +60,8 @@ Tensor get_record(const std::vector<uint8_t>& bytes, size_t& pos,
   const WireTensor wt = deserialize_tensor(wire);
   check_arg(wt.dtype == WireDtype::kFloat32,
             "checkpoint: unexpected tensor dtype");
-  check_arg(wt.f32.shape() == shape,
-            msg_cat("checkpoint: shape mismatch for '", expected_name,
-                    "': file ", shape_str(wt.f32.shape()), " vs model ",
-                    shape_str(shape)));
+  check_arg(wt.f32.shape() == shape, "checkpoint: shape mismatch for '",
+            expected_name, "': file ", wt.f32.shape(), " vs model ", shape);
   return wt.f32;
 }
 
@@ -95,12 +92,10 @@ void parameters_from_bytes(const std::vector<Parameter*>& params,
   check_arg(get<uint32_t>(bytes, pos) == kMagic, "checkpoint: bad magic");
   const auto pcount = get<uint32_t>(bytes, pos);
   const auto bcount = get<uint32_t>(bytes, pos);
-  check_arg(pcount == params.size(),
-            msg_cat("checkpoint: file has ", pcount, " parameters, model has ",
-                    params.size()));
-  check_arg(bcount == buffers.size(),
-            msg_cat("checkpoint: file has ", bcount, " buffers, model has ",
-                    buffers.size()));
+  check_arg(pcount == params.size(), "checkpoint: file has ", pcount,
+            " parameters, model has ", params.size());
+  check_arg(bcount == buffers.size(), "checkpoint: file has ", bcount,
+            " buffers, model has ", buffers.size());
   for (Parameter* p : params) {
     check_arg(p != nullptr, "checkpoint: null parameter");
     p->value = get_record(bytes, pos, p->name, p->value.shape());

@@ -50,9 +50,8 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 }
 
 Tensor Conv2d::forward(const Tensor& x) {
-  check_arg(x.dim() == 4 && x.size(1) == in_c_,
-            msg_cat("Conv2d: expected [N, ", in_c_, ", H, W], got ",
-                    shape_str(x.shape())));
+  check_arg(x.dim() == 4 && x.size(1) == in_c_, "Conv2d: expected [N, ", in_c_,
+            ", H, W], got ", x.shape());
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const ConvGeom g = make_geom(in_c_, h, w, kernel_, stride_, pad_);
   const int64_t oh = g.out_h(), ow = g.out_w();
@@ -190,8 +189,8 @@ DepthwiseConv2d::DepthwiseConv2d(int64_t channels, int64_t kernel,
 
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == channels_,
-            msg_cat("DepthwiseConv2d: expected [N, ", channels_,
-                    ", H, W], got ", shape_str(x.shape())));
+            "DepthwiseConv2d: expected [N, ", channels_, ", H, W], got ",
+            x.shape());
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const ConvGeom g = make_geom(1, h, w, kernel_, stride_, pad_);
   const int64_t oh = g.out_h(), ow = g.out_w();

@@ -18,9 +18,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
 }
 
 Tensor Linear::forward(const Tensor& x) {
-  check_arg(x.dim() == 2 && x.size(1) == in_features_,
-            msg_cat("Linear: expected [N, ", in_features_, "], got ",
-                    shape_str(x.shape())));
+  check_arg(x.dim() == 2 && x.size(1) == in_features_, "Linear: expected [N, ",
+            in_features_, "], got ", x.shape());
   cached_input_ = x;
   Tensor y = ops::matmul_nt(x, weight_.value);  // [N, out]
   if (with_bias_) ops::add_row_bias_(y, bias_.value);

@@ -19,7 +19,13 @@ Shape image_shape_of(const Tensor& x) {
   return {x.size(1), x.size(2), x.size(3)};
 }
 
-int64_t heads_flops(core::MtlSplitModel& model, const Shape& zb_shape) {
+/// True when @p x is [N, C, H, W] with {C, H, W} == @p img; builds no Shape.
+bool has_image_shape(const Tensor& x, const Shape& img) {
+  return x.dim() == 4 && img.size() == 3 && x.size(1) == img[0] &&
+         x.size(2) == img[1] && x.size(3) == img[2];
+}
+
+int64_t total_heads_flops(core::MtlSplitModel& model, const Shape& zb_shape) {
   int64_t total = 0;
   for (size_t j = 0; j < model.num_tasks(); ++j)
     total += model.head(j).flops(zb_shape);
@@ -91,8 +97,8 @@ void ScDeployment::ensure_compiled(const Tensor& x) {
     }
     return;
   }
+  if (backbone_exec_ && has_image_shape(x, compiled_image_shape_)) return;
   const Shape img = image_shape_of(x);
-  if (backbone_exec_ && img == compiled_image_shape_) return;
 
   if (!cfg_.plan_cache)
     cfg_.plan_cache = std::make_shared<graph::PlanCache>();
@@ -127,10 +133,23 @@ void ScDeployment::ensure_compiled(const Tensor& x) {
 }
 
 Tensor ScDeployment::backbone_fwd(const Tensor& x) {
-  if (backbone_exec_ && !model_->backbone().training() && x.dim() == 4 &&
-      image_shape_of(x) == compiled_image_shape_)
+  if (backbone_exec_ && !model_->backbone().training() &&
+      has_image_shape(x, compiled_image_shape_))
     return backbone_exec_->run(x);
   return model_->forward_backbone(x);
+}
+
+int64_t ScDeployment::backbone_flops(const Shape& in) {
+  FlopsMemo& m = backbone_flops_;
+  if (!m.valid || in != m.in) m = {true, in, model_->backbone().flops(in)};
+  return m.flops;
+}
+
+int64_t ScDeployment::heads_flops(const Shape& zb_shape) {
+  FlopsMemo& m = heads_flops_;
+  if (!m.valid || zb_shape != m.in)
+    m = {true, zb_shape, total_heads_flops(*model_, zb_shape)};
+  return m.flops;
 }
 
 std::vector<Tensor> ScDeployment::heads_fwd(const Tensor& zb) {
@@ -184,13 +203,13 @@ InferenceResult ScDeployment::infer(const Tensor& x) {
   // --- Edge device: shared backbone (Eq. 2).
   const Tensor zb = backbone_fwd(x);
   out.latency.edge_compute_s =
-      edge_.compute_time(model_->backbone().flops(x.shape()));
+      edge_.compute_time(backbone_flops(x.shape()));
 
   // --- Wire + server: real wire format, then the task heads (Eq. 3).
   const Tensor zb_rx = wire_roundtrip(zb, out.latency);
   out.logits = heads_fwd(zb_rx);
   out.latency.server_compute_s =
-      server_.compute_time(heads_flops(*model_, zb_rx.shape()));
+      server_.compute_time(heads_flops(zb_rx.shape()));
   out.latency.measured_wall_s = seconds_since(t0);
   return out;
 }
@@ -211,7 +230,7 @@ BatchResult ScDeployment::infer_batch(const Tensor& x) {
   // §7); the analytic latency is attributed per request at batch size 1.
   const Tensor zb = backbone_fwd(x);
   const double edge_s = edge_.compute_time(
-      model_->backbone().flops({1, x.size(1), x.size(2), x.size(3)}));
+      backbone_flops({1, x.size(1), x.size(2), x.size(3)}));
 
   // --- Wire: one message per sample, quantisation parameters computed on
   // the sample's own Z_b slice (exactly what that client would have sent).
@@ -263,7 +282,7 @@ BatchResult ScDeployment::infer_batch(const Tensor& x) {
                                                : ops::concat_batch(survivors);
     std::vector<Tensor> logits = heads_fwd(zb_rx);
     const double server_s =
-        server_.compute_time(heads_flops(*model_, {1, zb_rx.size(1)}));
+        server_.compute_time(heads_flops({1, zb_rx.size(1)}));
     for (size_t s = 0; s < owner.size(); ++s) {
       BatchItem& item = out.items[owner[s]];
       item.result.logits.reserve(logits.size());
@@ -313,8 +332,8 @@ StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs,
     try {
       for (size_t i = 0; i < n; ++i) {
         zb[i] = backbone_fwd(inputs[i]);
-        out.results[i].latency.edge_compute_s = edge_.compute_time(
-            model_->backbone().flops(inputs[i].shape()));
+        out.results[i].latency.edge_compute_s =
+            edge_.compute_time(backbone_flops(inputs[i].shape()));
         to_wire.push(i);
       }
     } catch (...) {
@@ -365,7 +384,7 @@ StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs,
       InferenceResult& r = out.results[i];
       r.logits = heads_fwd(zb_rx[i]);
       r.latency.server_compute_s =
-          server_.compute_time(heads_flops(*model_, zb_rx[i].shape()));
+          server_.compute_time(heads_flops(zb_rx[i].shape()));
       r.latency.measured_wall_s = seconds_since(t0);
       zb_rx[i] = Tensor();
       if (on_item) on_item(i, r);
@@ -433,7 +452,7 @@ InferenceResult RocDeployment::infer(const Tensor& x) {
   out.logits = model_->forward_heads(zb);
   out.latency.server_compute_s = server_.compute_time(
       model_->backbone().flops(wt.f32.shape()) +
-      heads_flops(*model_, zb.shape()));
+      total_heads_flops(*model_, zb.shape()));
   out.latency.measured_wall_s = seconds_since(t0);
   return out;
 }
@@ -452,8 +471,9 @@ InferenceResult LocDeployment::infer(const Tensor& x) {
   const auto t0 = std::chrono::steady_clock::now();
   const Tensor zb = model_->forward_backbone(x);
   out.logits = model_->forward_heads(zb);
-  out.latency.edge_compute_s = edge_.compute_time(
-      model_->backbone().flops(x.shape()) + heads_flops(*model_, zb.shape()));
+  out.latency.edge_compute_s =
+      edge_.compute_time(model_->backbone().flops(x.shape()) +
+                         total_heads_flops(*model_, zb.shape()));
   out.latency.measured_wall_s = seconds_since(t0);
   return out;
 }

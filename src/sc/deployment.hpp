@@ -235,6 +235,11 @@ class ScDeployment {
   Tensor backbone_fwd(const Tensor& x);
   /// All task heads via their compiled plans (or eager fallback).
   std::vector<Tensor> heads_fwd(const Tensor& zb);
+  /// Analytic FLOPs of the backbone on @p in / of all heads on @p zb_shape,
+  /// memoised for the last shape seen: walking the model builds a Shape per
+  /// layer, so it runs once per shape instead of once per request.
+  int64_t backbone_flops(const Shape& in);
+  int64_t heads_flops(const Shape& zb_shape);
 
   core::MtlSplitModel* model_;
   Channel* channel_;
@@ -255,6 +260,16 @@ class ScDeployment {
   int plan_generation_ = 0;
   std::unique_ptr<graph::GraphExecutor> backbone_exec_;
   std::vector<std::unique_ptr<graph::GraphExecutor>> head_execs_;
+
+  // FLOP memos. Like the executors, the backbone memo belongs to the edge
+  // stage and the heads memo to the server stage, so a stream's two stage
+  // threads never share one.
+  struct FlopsMemo {
+    bool valid = false;
+    Shape in;
+    int64_t flops = 0;
+  };
+  FlopsMemo backbone_flops_, heads_flops_;
 };
 
 /// Remote-only executor: ships the raw input, runs everything server-side.

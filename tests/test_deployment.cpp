@@ -3,6 +3,7 @@
 
 #include "mtl/model_factory.hpp"
 #include "sc/deployment.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace mtlsplit {
 namespace {
@@ -69,6 +70,33 @@ TEST(ScDeployment, LatencyComponentsPopulated) {
   // Channel statistics recorded the message.
   EXPECT_EQ(ch.messages_sent(), 1);
   EXPECT_EQ(ch.total_bytes(), r.latency.wire_bytes);
+}
+
+// The analytic FLOP counts are memoised per input shape; a shape change
+// (here the batch size) must recompute them, never reuse the last ones.
+TEST(ScDeployment, AnalyticComputeFollowsEveryInputShape) {
+  Rig rig;
+  sc::Channel ch({.bandwidth_bps = 1e9});
+  const sc::DeviceProfile edge = sc::jetson_nano();
+  const sc::DeviceProfile server = sc::rtx3090_server();
+  sc::ScDeployment dep(*rig.model, ch, edge, server);
+  auto expect_model = [&](const sc::LatencyBreakdown& lat, const Shape& in) {
+    const Shape zb = rig.model->backbone().output_shape(in);
+    int64_t heads = 0;
+    for (size_t j = 0; j < rig.model->num_tasks(); ++j)
+      heads += rig.model->head(j).flops(zb);
+    EXPECT_EQ(lat.edge_compute_s,
+              edge.compute_time(rig.model->backbone().flops(in)));
+    EXPECT_EQ(lat.server_compute_s, server.compute_time(heads));
+  };
+  const Tensor one = ops::slice_batch(rig.x, 0, 1);
+  for (int round = 0; round < 2; ++round) {
+    expect_model(dep.infer(rig.x).latency, rig.x.shape());
+    expect_model(dep.infer(one).latency, one.shape());
+    const sc::BatchResult b = dep.infer_batch(rig.x);
+    for (const sc::BatchItem& item : b.items)
+      expect_model(item.result.latency, {1, 3, 16, 16});
+  }
 }
 
 TEST(ScDeployment, CorruptedChannelRaises) {

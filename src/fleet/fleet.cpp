@@ -100,8 +100,6 @@ FleetRouter::FleetRouter(core::MtlSplitModel& prototype,
             "FleetRouter: dead_after must be >= 1");
   check_arg(cfg_.max_failovers >= 0,
             "FleetRouter: max_failovers must be >= 0");
-  check_arg(cfg_.settle_poll_us >= 1,
-            "FleetRouter: settle_poll_us must be >= 1");
 
   submitted_c_ = &registry_.counter("fleet/submitted");
   settled_value_c_ = &registry_.counter("fleet/settled_value");
@@ -150,8 +148,6 @@ FleetRouter::FleetRouter(core::MtlSplitModel& prototype,
   }
   live_nodes_g_->set(static_cast<double>(nodes_.size()));
 
-  for (size_t k = 0; k < nodes_.size(); ++k)
-    nodes_[k]->settler = std::thread([this, k] { settler_loop(k); });
   prober_ = std::thread([this] { prober_loop(); });
 }
 
@@ -168,27 +164,38 @@ void FleetRouter::shutdown() {
   if (prober_.joinable()) prober_.join();
   for (auto& t : reapers_)
     if (t.joinable()) t.join();
-  for (auto& n : nodes_)
-    if (n->settler.joinable()) n->settler.join();
-  // Live nodes drain every accepted request; killed nodes join their
-  // threads too (idempotent if a reaper already did).
+  for (auto& n : nodes_) {
+    std::lock_guard<std::mutex> lk(n->mu);
+    n->accepting = false;
+  }
+  // Live nodes drain every accepted request, and each one's completion
+  // forwards its result; killed nodes join their threads too (idempotent
+  // if a reaper already did).
   for (auto& n : nodes_) n->server->shutdown();
+  // What is still listed never got an answer out: a killed node's
+  // black-holed requests, and submits that raced this shutdown (the
+  // drained server refuses them; whichever of place() and this loop takes
+  // the entry first settles it).
   for (size_t k = 0; k < nodes_.size(); ++k) {
     Node& n = *nodes_[k];
-    std::lock_guard<std::mutex> lk(n.mu);
-    n.accepting = false;
-    for (auto& p : n.pending) {
-      if (n.killed.load(std::memory_order_acquire)) {
-        // Black-hole contract: a killed node's answers are lost even if
-        // its threads computed them before the drain.
-        p.out.set_exception(std::make_exception_ptr(NodeFailedError(
-            k, "fleet: node " + std::to_string(k) + " killed at shutdown")));
-        settled_error_c_->inc();
-      } else {
-        settle_value(p);  // inner future is ready after the drain
-      }
+    std::vector<PendingPtr> left;
+    {
+      std::lock_guard<std::mutex> lk(n.mu);
+      left.swap(n.pending);
     }
-    n.pending.clear();
+    if (left.empty()) continue;
+    std::exception_ptr err;
+    if (!n.killed.load(std::memory_order_acquire)) {
+      err = std::make_exception_ptr(std::runtime_error(
+          "fleet: shut down before node " + std::to_string(k) +
+          " accepted the request"));
+    } else {
+      if (!n.failed)
+        n.failed = std::make_exception_ptr(NodeFailedError(
+            k, "fleet: node " + std::to_string(k) + " killed at shutdown"));
+      err = n.failed;
+    }
+    for (const PendingPtr& p : left) settle(*p, {}, err);
   }
 }
 
@@ -198,35 +205,101 @@ std::future<sc::InferenceResult> FleetRouter::submit(Tensor x,
                                                      FleetSubmitOptions opts) {
   if (stopped_.load(std::memory_order_acquire))
     throw std::runtime_error("FleetRouter: submit after shutdown");
+  auto p = std::make_shared<Pending>();
+  p->x = x;  // retained for transparent re-submit after a node death
+  p->opts = opts.base;
+  p->idempotent = opts.idempotent;
+  p->failovers_left = cfg_.max_failovers;
+  std::future<sc::InferenceResult> out = p->out.get_future();
+  if (!place(p, std::move(x), *submitted_c_))
+    throw NodeFailedError(nodes_.size(), "fleet: no live node to route to");
+  return out;
+}
+
+bool FleetRouter::place(const PendingPtr& p, Tensor x,
+                        telemetry::Counter& placed) {
   // One retry per node covers the race where the pick dies between
   // live() and the lock; rendezvous never re-picks a dead node.
   for (size_t attempt = 0; attempt <= nodes_.size(); ++attempt) {
     const std::vector<size_t> live = membership_.live();
-    if (live.empty()) break;
-    const size_t k = rendezvous_pick(opts.base.client_id, live);
+    if (live.empty()) return false;
+    const size_t k = rendezvous_pick(p->opts.client_id, live);
     Node& n = *nodes_[k];
-    std::lock_guard<std::mutex> lk(n.mu);
-    if (!n.accepting) continue;
-    Pending p;
-    p.x = x;  // retained for transparent re-submit after a node death
-    p.opts = opts.base;
-    p.idempotent = opts.idempotent;
-    p.failovers_left = cfg_.max_failovers;
-    std::future<sc::InferenceResult> out = p.out.get_future();
-    try {
-      p.in = n.server->submit(std::move(x), opts.base);
-    } catch (...) {
-      p.out.set_exception(std::current_exception());
-      settled_error_c_->inc();
-      submitted_c_->inc();
-      return out;
+    {
+      // Listed before it is submitted: the server may settle it inline.
+      std::lock_guard<std::mutex> lk(n.mu);
+      if (!n.accepting) continue;
+      p->slot = n.pending.size();
+      n.pending.push_back(p);
     }
-    n.pending.push_back(std::move(p));
-    submitted_c_->inc();
+    placed.inc();
     n.submitted_c->inc();
-    return out;
+    try {
+      n.server->submit(std::move(x), p->opts,
+                       [this, k, p](sc::InferenceResult&& result,
+                                    std::exception_ptr error) {
+                         on_settled(k, p, std::move(result), std::move(error));
+                       });
+    } catch (...) {
+      // The server refused the call itself (bad input, or shut down).
+      // Settle only while the entry is still ours: once the node is
+      // killed the entry belongs to declare_dead or shutdown.
+      bool ours;
+      {
+        std::lock_guard<std::mutex> lk(n.mu);
+        ours = !n.killed.load(std::memory_order_acquire) &&
+               unlink_locked(n, *p);
+      }
+      if (ours) settle(*p, {}, std::current_exception());
+    }
+    return true;
   }
-  throw NodeFailedError(nodes_.size(), "fleet: no live node to route to");
+  return false;
+}
+
+void FleetRouter::on_settled(size_t k, const PendingPtr& p,
+                             sc::InferenceResult&& result,
+                             std::exception_ptr error) {
+  Node& n = *nodes_[k];
+  {
+    std::lock_guard<std::mutex> lk(n.mu);
+    // Black hole: a killed or declared-dead node's answer never escapes;
+    // the entry stays listed for declare_dead or shutdown. declare_dead
+    // sets killed under this lock before it takes the list, so no answer
+    // from a node slips out after its orphans moved on.
+    if (n.killed.load(std::memory_order_acquire)) return;
+    unlink_locked(n, *p);
+  }
+  // Typed serve-layer errors (deadline, rejection, wire) pass through
+  // unchanged — the fleet only re-writes *node-death* outcomes.
+  settle(*p, std::move(result), std::move(error));
+}
+
+bool FleetRouter::unlink_locked(Node& n, Pending& p) {
+  const size_t i = p.slot;
+  if (i >= n.pending.size() || n.pending[i].get() != &p) return false;
+  if (i + 1 != n.pending.size()) {
+    n.pending[i] = std::move(n.pending.back());
+    n.pending[i]->slot = i;
+  }
+  n.pending.pop_back();
+  return true;
+}
+
+void FleetRouter::settle(Pending& p, sc::InferenceResult&& result,
+                         std::exception_ptr error) {
+  if (p.claimed.exchange(true, std::memory_order_acq_rel)) return;
+  // The promise goes with the claim, so the caller's future is left the
+  // only owner of the shared state. The entry itself may live on in a
+  // dead node's queue until that node drains.
+  std::promise<sc::InferenceResult> out = std::move(p.out);
+  if (error) {
+    out.set_exception(std::move(error));
+    settled_error_c_->inc();
+  } else {
+    out.set_value(std::move(result));
+    settled_value_c_->inc();
+  }
 }
 
 size_t FleetRouter::route(uint64_t client_id) const {
@@ -249,50 +322,10 @@ const serve::ScServer& FleetRouter::node_server(size_t k) const {
 void FleetRouter::kill_node(size_t k) {
   check_arg(k < nodes_.size(), "FleetRouter: node out of range");
   // Black-hole, not shutdown: the server's threads keep running (they
-  // are the "unreachable process"), but no answer escapes — the settler
-  // stops forwarding and the prober stops getting acks. Detection and
+  // are the "unreachable process"), but no answer escapes — completions
+  // drop their results and the prober stops getting acks. Detection and
   // cleanup are the SWIM layer's job, exactly as with a real crash.
   nodes_[k]->killed.store(true, std::memory_order_release);
-}
-
-void FleetRouter::settler_loop(size_t k) {
-  Node& n = *nodes_[k];
-  while (!stopped_.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lk(n.mu);
-      if (!n.killed.load(std::memory_order_acquire)) sweep_locked(n);
-    }
-    std::unique_lock<std::mutex> wl(wake_mu_);
-    wake_cv_.wait_for(wl, std::chrono::microseconds(cfg_.settle_poll_us),
-                      [this] {
-                        return stopped_.load(std::memory_order_acquire);
-                      });
-  }
-}
-
-void FleetRouter::sweep_locked(Node& n) {
-  for (size_t i = 0; i < n.pending.size();) {
-    if (n.pending[i].in.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      settle_value(n.pending[i]);
-      n.pending[i] = std::move(n.pending.back());
-      n.pending.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void FleetRouter::settle_value(Pending& p) {
-  try {
-    p.out.set_value(p.in.get());
-    settled_value_c_->inc();
-  } catch (...) {
-    // Typed serve-layer errors (deadline, rejection, wire) pass through
-    // unchanged — the fleet only re-writes *node-death* outcomes.
-    p.out.set_exception(std::current_exception());
-    settled_error_c_->inc();
-  }
 }
 
 // ---------------------------------------------------------- SWIM prober
@@ -372,7 +405,7 @@ void FleetRouter::declare_dead(size_t k) {
   Node& n = *nodes_[k];
   membership_.apply(k, NodeState::kDead, membership_.get(k).incarnation);
   deaths_c_->inc();
-  std::vector<Pending> orphans;
+  std::vector<PendingPtr> orphans;
   {
     std::lock_guard<std::mutex> lk(n.mu);
     // Also black-holes a falsely-declared node (alive but partitioned):
@@ -382,9 +415,11 @@ void FleetRouter::declare_dead(size_t k) {
     n.accepting = false;
     orphans.swap(n.pending);
   }
+  n.failed = std::make_exception_ptr(NodeFailedError(
+      k, "fleet: node " + std::to_string(k) + " died before answering"));
   // Restore capacity before re-routing the orphans onto the survivors.
   if (cfg_.rebuild) rebuild_from(k);
-  for (auto& p : orphans) failover(std::move(p), k);
+  for (const PendingPtr& p : orphans) failover(p, k);
   // The dead server's threads are reaped off the prober thread: shutdown
   // joins workers, which can take a batch's worth of time.
   reapers_.emplace_back([&n] { n.server->shutdown(); });
@@ -405,37 +440,14 @@ void FleetRouter::rebuild_from(size_t dead) {
   reminted_c_->add(static_cast<int64_t>(reminted));
 }
 
-void FleetRouter::failover(Pending p, size_t dead) {
-  const std::string died =
-      "fleet: node " + std::to_string(dead) + " died before answering";
-  if (!p.idempotent || p.failovers_left <= 0) {
-    p.out.set_exception(
-        std::make_exception_ptr(NodeFailedError(dead, died)));
-    settled_error_c_->inc();
+void FleetRouter::failover(const PendingPtr& p, size_t dead) {
+  const std::exception_ptr& died = nodes_[dead]->failed;
+  if (!p->idempotent || p->failovers_left <= 0) {
+    settle(*p, {}, died);
     return;
   }
-  --p.failovers_left;
-  for (size_t attempt = 0; attempt <= nodes_.size(); ++attempt) {
-    const std::vector<size_t> live = membership_.live();
-    if (live.empty()) break;
-    const size_t t = rendezvous_pick(p.opts.client_id, live);
-    Node& n = *nodes_[t];
-    std::lock_guard<std::mutex> lk(n.mu);
-    if (!n.accepting) continue;
-    try {
-      p.in = n.server->submit(Tensor(p.x), p.opts);
-    } catch (...) {
-      p.out.set_exception(std::current_exception());
-      settled_error_c_->inc();
-      return;
-    }
-    n.pending.push_back(std::move(p));
-    failovers_c_->inc();
-    n.submitted_c->inc();
-    return;
-  }
-  p.out.set_exception(std::make_exception_ptr(NodeFailedError(dead, died)));
-  settled_error_c_->inc();
+  --p->failovers_left;
+  if (!place(p, Tensor(p->x), *failovers_c_)) settle(*p, {}, died);
 }
 
 // ------------------------------------------------------------- telemetry

@@ -26,16 +26,29 @@
 //    dogpiling one neighbour.
 //
 //  * Rebuild + exactly-once settlement. Every outstanding request is a
-//    Pending entry on exactly one node's list, moved only under that
-//    node's mutex. A killed node black-holes: its results are never
-//    forwarded (the "process" can no longer answer). When the prober
-//    declares it dead, its list is swapped out atomically and each
-//    orphan is settled exactly once — transparently re-submitted to a
-//    survivor when the request is idempotent and has failover budget
-//    left, else failed with the typed NodeFailedError. Replica capacity
-//    lost with the node is re-minted on the survivors through
-//    ScServer::add_replicas (copy_model_state + Channel::fork), so the
-//    rebuilt fleet serves the same logits bitwise.
+//    Pending entry listed on exactly one node, and it settles by push: the
+//    node's server calls the request's Completion on whichever thread
+//    settles it, and the completion forwards straight into the outer
+//    promise — no thread sits between a result and its caller. The
+//    completion runs before the node's server counts the request, so once
+//    a node's ServeStats::completed includes a request, its outer future
+//    is ready. A killed node black-holes: its completions drop their
+//    results and leave the entry listed. When the prober declares the
+//    node dead, its list is swapped out and each orphan is settled
+//    exactly once — transparently re-submitted to a survivor when the
+//    request is idempotent and has failover budget left, else failed with
+//    the typed NodeFailedError. One atomic claim per entry decides who
+//    writes the outer promise. Replica capacity lost with the node is
+//    re-minted on the survivors through ScServer::add_replicas
+//    (copy_model_state + Channel::fork), so the rebuilt fleet serves the
+//    same logits bitwise.
+//
+//  * Lock order. Node::mu guards only the node's pending list and its
+//    accepting flag; it is a leaf lock, never held across a call into the
+//    node's server. A completion may run inside that server's queue lock
+//    (a ShedOldest eviction) or inline in the submitting thread (a refusal
+//    at admission), and it takes only Node::mu. An entry is listed before
+//    it is submitted, so a completion that runs inline still finds it.
 #pragma once
 
 #include <atomic>
@@ -123,7 +136,6 @@ struct FleetConfig {
   /// Transparent re-submits an idempotent request may consume before it
   /// settles with NodeFailedError (bounds cascading-failure work).
   int max_failovers = 2;
-  int64_t settle_poll_us = 200;  ///< settler sweep period per node
 };
 
 struct FleetSubmitOptions {
@@ -164,7 +176,7 @@ class FleetRouter {
   /// Boots cfg.nodes ScServer nodes, each holding cfg.replicas_per_node
   /// replicas minted from cfg.make_replica with weights copied bitwise
   /// from @p prototype (which must outlive the router), then starts the
-  /// per-node settler threads and the SWIM prober.
+  /// SWIM prober.
   FleetRouter(core::MtlSplitModel& prototype, sc::DeviceProfile edge,
               sc::DeviceProfile server, FleetConfig cfg);
   ~FleetRouter();
@@ -200,9 +212,12 @@ class FleetRouter {
 
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Stops the prober and settlers, shuts every node down (live nodes
-  /// drain), and settles every still-pending future — forwarded results
-  /// for live nodes, NodeFailedError for killed ones. Idempotent.
+  /// Stops the prober, shuts every node down (live nodes drain, and their
+  /// completions forward every accepted request's result), and settles
+  /// every still-pending future: NodeFailedError for a killed node's
+  /// requests, std::runtime_error for a submit that raced the shutdown.
+  /// Afterwards stats() balances: submitted == settled_value +
+  /// settled_error. Idempotent.
   void shutdown();
 
   FleetStats stats() const;
@@ -213,33 +228,40 @@ class FleetRouter {
   const serve::ScServer& node_server(size_t k) const;
 
  private:
-  /// One outstanding request. Lives on exactly one node's pending list;
-  /// every move happens under that node's mutex, which is what makes
-  /// settlement exactly-once across failover.
+  /// One outstanding request. Listed on exactly one node at a time; the
+  /// node's mutex guards the listing (and `slot`), `claimed` guards the
+  /// outer promise.
   struct Pending {
     std::promise<sc::InferenceResult> out;
-    std::future<sc::InferenceResult> in;
     Tensor x;  ///< retained so a failover can re-submit the same input
     serve::SubmitOptions opts;
     bool idempotent = true;
     int failovers_left = 0;
+    size_t slot = 0;  ///< index in the listing node's pending vector
+    /// The one claim on `out`: the completion, failover, a failed
+    /// submit and shutdown all race on it, and only the winner settles.
+    std::atomic<bool> claimed{false};
   };
+  using PendingPtr = std::shared_ptr<Pending>;
 
   struct Node {
     std::vector<std::unique_ptr<core::MtlSplitModel>> models;
     std::unique_ptr<serve::ScServer> server;
     std::unique_ptr<sc::Channel> control;  ///< prober-thread only
 
-    std::mutex mu;  ///< guards pending + accepting
-    std::vector<Pending> pending;
+    std::mutex mu;  ///< leaf lock: guards pending + accepting
+    std::vector<PendingPtr> pending;
     bool accepting = true;
     std::atomic<bool> killed{false};
+    /// The NodeFailedError every request this node fails settles with,
+    /// made once (prober thread, or shutdown once the prober is joined).
+    /// The router keeps it, so the exception object outlives the callers
+    /// that read it instead of being freed on a settling thread.
+    std::exception_ptr failed;
 
     // Prober-thread-only SWIM state.
     uint64_t self_incarnation = 0;  ///< the simulated node's own view
     int misses = 0;
-
-    std::thread settler;
 
     telemetry::Gauge* state_g = nullptr;
     telemetry::Gauge* incarnation_g = nullptr;
@@ -248,11 +270,19 @@ class FleetRouter {
     telemetry::Counter* probes_missed_c = nullptr;
   };
 
-  void settler_loop(size_t k);
-  /// Forwards every ready inner future of node @p k to its outer promise
-  /// and drops the entry. Caller holds nodes_[k]->mu.
-  void sweep_locked(Node& n);
-  void settle_value(Pending& p);
+  /// Lists @p p on the live node rendezvous picks for it and submits
+  /// @p x there with a completion that forwards into p->out. Counts the
+  /// placement in @p placed. Returns false when no node accepts.
+  bool place(const PendingPtr& p, Tensor x, telemetry::Counter& placed);
+  /// The completion body: node @p k's server settled @p p.
+  void on_settled(size_t k, const PendingPtr& p, sc::InferenceResult&& result,
+                  std::exception_ptr error);
+  /// Removes @p p from @p n's list; false when it is not listed there.
+  static bool unlink_locked(Node& n, Pending& p);
+  /// Claims @p p and settles its outer promise; a no-op when already
+  /// claimed.
+  void settle(Pending& p, sc::InferenceResult&& result,
+              std::exception_ptr error);
 
   void prober_loop();
   /// One ping/ack round trip to node @p k over its control channel.
@@ -262,7 +292,7 @@ class FleetRouter {
   void declare_dead(size_t k);
   void rebuild_from(size_t dead);
   /// Settles or transparently re-submits one orphan of dead node @p dead.
-  void failover(Pending p, size_t dead);
+  void failover(const PendingPtr& p, size_t dead);
   void publish_node_gauges(size_t k);
 
   FleetConfig cfg_;
@@ -280,7 +310,7 @@ class FleetRouter {
   telemetry::Counter* acks_c_ = nullptr;
   telemetry::Gauge* live_nodes_g_ = nullptr;
 
-  std::mutex wake_mu_;  ///< pairs with wake_cv_ for prober + settlers
+  std::mutex wake_mu_;  ///< pairs with wake_cv_ for the prober
   std::condition_variable wake_cv_;
   std::atomic<bool> stopped_{false};
 

@@ -31,11 +31,21 @@ void settle_all(Request& r, const std::exception_ptr& err) {
   if (r.streaming) {
     for (auto& p : r.chunk_promises) p.set_exception(err);
   } else {
-    r.promise.set_exception(err);
+    r.done({}, err);
   }
 }
 
 }  // namespace
+
+Completion promise_completion(std::promise<sc::InferenceResult> p) {
+  return [p = std::move(p)](sc::InferenceResult&& result,
+                            std::exception_ptr error) mutable {
+    if (error)
+      p.set_exception(std::move(error));
+    else
+      p.set_value(std::move(result));
+  };
+}
 
 size_t expire_overdue(std::vector<Request>& batch,
                       std::chrono::steady_clock::time_point now) {
@@ -315,6 +325,13 @@ void RequestQueue::enqueue_or_reject(Request&& r) {
 
 std::future<sc::InferenceResult> RequestQueue::submit(Tensor x,
                                                       SubmitOptions opts) {
+  std::promise<sc::InferenceResult> p;
+  std::future<sc::InferenceResult> fut = p.get_future();
+  submit(std::move(x), opts, promise_completion(std::move(p)));
+  return fut;
+}
+
+void RequestQueue::submit(Tensor x, SubmitOptions opts, Completion done) {
   check_arg(x.dim() == 4 && x.size(0) >= 1,
             "RequestQueue::submit: input must be [B, C, H, W] with B >= 1");
   Request r;
@@ -325,9 +342,8 @@ std::future<sc::InferenceResult> RequestQueue::submit(Tensor x,
   if (opts.ttl.count() > 0)
     r.deadline =
         std::min(r.deadline, std::chrono::steady_clock::now() + opts.ttl);
-  std::future<sc::InferenceResult> fut = r.promise.get_future();
+  r.done = std::move(done);
   enqueue_or_reject(std::move(r));
-  return fut;
 }
 
 std::vector<std::future<sc::InferenceResult>> RequestQueue::submit_stream(

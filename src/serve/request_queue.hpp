@@ -31,7 +31,10 @@
 //
 // Whatever the path, every submitted request is settled exactly once:
 // logits, a server error, RejectedError, ThrottledError, or
-// DeadlineExceededError.
+// DeadlineExceededError. A non-streaming request settles through its
+// Completion, called on whichever thread decides the outcome: a worker,
+// the submitting thread at an admission gate, the submitter whose arrival
+// sheds it (queue lock held), or a pop that finds it expired.
 //
 // close() rejects new submissions while letting consumers drain what is
 // queued, which is how ScServer shuts down without dropping accepted work.
@@ -45,9 +48,12 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "sc/deployment.hpp"
 
@@ -152,8 +158,91 @@ struct SubmitOptions {
   std::chrono::microseconds ttl{0};
 };
 
-/// One in-flight client request: the input plus the promise(s) its logits
-/// (or its error) will be delivered through.
+/// The one settlement path of a non-streaming request: a move-only,
+/// one-shot callable run exactly once, with the result or (when @p error
+/// is non-null) the error, on whichever thread settles the request. It may
+/// run with a queue lock held (a ShedOldest eviction) or inline in
+/// submit() (a refusal at admission), so it must be short, must not
+/// throw, and must not take any lock that its owner holds across a call
+/// into the server. The callable is stored inline: no allocation. A call
+/// spends it; calling an empty or spent Completion throws
+/// std::logic_error, as a second set_value on a promise would.
+class Completion {
+ public:
+  static constexpr size_t kInlineBytes = 48;
+
+  Completion() noexcept = default;
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Completion> &&
+             std::is_invocable_v<std::remove_cvref_t<F>&,
+                                 sc::InferenceResult&&, std::exception_ptr>)
+  Completion(F&& f) {  // implicit: a lambda converts
+    using Fn = std::remove_cvref_t<F>;
+    static_assert(sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "Completion: callable too large to store inline");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "Completion: callable must be nothrow-movable");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &kOps<Fn>;
+  }
+  Completion(Completion&& o) noexcept : ops_(std::exchange(o.ops_, nullptr)) {
+    if (ops_) ops_->relocate(o.buf_, buf_);
+  }
+  Completion& operator=(Completion&& o) noexcept {
+    if (this != &o) {
+      reset();
+      ops_ = std::exchange(o.ops_, nullptr);
+      if (ops_) ops_->relocate(o.buf_, buf_);
+    }
+    return *this;
+  }
+  ~Completion() { reset(); }
+
+  /// Runs the callable once and destroys it; *this is empty afterwards.
+  void operator()(sc::InferenceResult&& result, std::exception_ptr error) {
+    const Ops* ops = std::exchange(ops_, nullptr);
+    if (!ops) [[unlikely]]
+      throw std::logic_error("Completion: called empty or twice");
+    ops->call(buf_, std::move(result), std::move(error));
+  }
+
+ private:
+  struct Ops {
+    void (*call)(void* fn, sc::InferenceResult&&, std::exception_ptr);
+    void (*relocate)(void* from, void* to) noexcept;
+    void (*destroy)(void* fn) noexcept;
+  };
+  template <class Fn>
+  static constexpr Ops kOps = {
+      [](void* p, sc::InferenceResult&& r, std::exception_ptr e) {
+        Fn& fn = *static_cast<Fn*>(p);
+        struct Destroy {
+          Fn& fn;
+          ~Destroy() { fn.~Fn(); }
+        } guard{fn};
+        fn(std::move(r), std::move(e));
+      },
+      [](void* from, void* to) noexcept {
+        Fn& src = *static_cast<Fn*>(from);
+        ::new (to) Fn(std::move(src));
+        src.~Fn();
+      },
+      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }};
+
+  void reset() noexcept {
+    if (const Ops* ops = std::exchange(ops_, nullptr)) ops->destroy(buf_);
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+/// The completion behind every future-returning submit(): settles @p p.
+Completion promise_completion(std::promise<sc::InferenceResult> p);
+
+/// One in-flight client request: the input plus how its logits (or its
+/// error) are delivered.
 struct Request {
   uint64_t id = 0;
   Tensor x;  ///< [B, C, H, W]; B >= 1 (B > 1 = client-side batch)
@@ -162,8 +251,8 @@ struct Request {
   bool streaming = false;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Settled exactly once when !streaming.
-  std::promise<sc::InferenceResult> promise;
+  /// Called exactly once when !streaming.
+  Completion done;
   /// One promise per sample row when streaming: chunk i is settled as the
   /// pipeline emits row i (ScDeployment::infer_stream + on_item).
   std::vector<std::promise<sc::InferenceResult>> chunk_promises;
@@ -197,7 +286,15 @@ class RequestQueue {
   /// DeadlineExceededError (deadline pre-expired), ThrottledError (quota),
   /// or RejectedError (Reject at capacity). Under ShedOldest the newcomer
   /// is admitted and some older queued request's future gets RejectedError.
+  /// This is submit(x, opts, promise_completion(...)).
   std::future<sc::InferenceResult> submit(Tensor x, SubmitOptions opts = {});
+
+  /// Enqueues @p x; @p done is called exactly once with its outcome, the
+  /// same outcomes as above. A refusal at admission calls @p done inline,
+  /// before this returns; a ShedOldest admission calls an older request's
+  /// completion inline, with the queue lock held. When this throws, @p done
+  /// is never called.
+  void submit(Tensor x, SubmitOptions opts, Completion done);
 
   /// Streaming submission: the request is served through the pipelined
   /// ScDeployment::infer_stream and each sample row's result arrives on

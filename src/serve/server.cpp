@@ -168,8 +168,16 @@ size_t ScServer::route(uint64_t client_id) const {
 
 std::future<sc::InferenceResult> ScServer::submit(Tensor x,
                                                   SubmitOptions opts) {
+  std::promise<sc::InferenceResult> p;
+  std::future<sc::InferenceResult> fut = p.get_future();
+  submit(std::move(x), opts, promise_completion(std::move(p)));
+  return fut;
+}
+
+void ScServer::submit(Tensor x, SubmitOptions opts, Completion done) {
   stats_->on_submit();
-  return shards_[route(opts.client_id)]->queue.submit(std::move(x), opts);
+  shards_[route(opts.client_id)]->queue.submit(std::move(x), opts,
+                                               std::move(done));
 }
 
 std::vector<std::future<sc::InferenceResult>> ScServer::submit_stream(
@@ -307,7 +315,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
     rows_of.push_back(r.x.size(0));
     parts.push_back(std::move(r.x));
   }
-  size_t settled = 0;      // requests whose promise has been fulfilled
+  size_t settled = 0;      // requests whose completion has run
   bool counted = false;    // stats_->on_batch already recorded this batch
   bool infer_ran = false;  // infer_batch was entered (its traffic tally is live)
   try {
@@ -333,11 +341,13 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
       std::exception_ptr err;
       for (size_t k = 0; k < rows && !err; ++k)
         err = br.items[row + k].error;
+      // The completion runs before on_request counts the request, so a
+      // reader that sees the count can rely on the completion having run.
       if (err) {
-        r.promise.set_exception(err);
+        r.done({}, err);
         stats_->on_request(seconds_between(r.enqueued_at, now), false);
       } else if (rows == 1) {
-        r.promise.set_value(std::move(br.items[row].result));
+        r.done(std::move(br.items[row].result), nullptr);
         stats_->on_request(seconds_between(r.enqueued_at, now), true);
       } else {
         sc::InferenceResult merged;
@@ -361,7 +371,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
           merged.latency.fec_repaired += lat.fec_repaired;
           merged.latency.undelivered += lat.undelivered;
         }
-        r.promise.set_value(std::move(merged));
+        r.done(std::move(merged), nullptr);
         stats_->on_request(seconds_between(r.enqueued_at, now), true);
       }
       settled = i + 1;
@@ -369,10 +379,9 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
     }
   } catch (...) {
     // Whole-batch failure (e.g. a shape mismatch between coalesced
-    // requests, or an allocation failure mid-scatter): every owner whose
-    // promise is still open learns why. Requests settled before the
-    // throw keep their results — touching their promise again would
-    // raise std::future_error and kill the worker.
+    // requests, or an allocation failure mid-scatter): every owner not yet
+    // settled learns why. Requests settled before the throw keep their
+    // results; their completions are spent.
     const std::exception_ptr err = std::current_exception();
     if (!counted) {
       // The wire work already happened even though the batch failed: a
@@ -393,7 +402,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
     }
     const auto now = std::chrono::steady_clock::now();
     for (size_t i = settled; i < batch.size(); ++i) {
-      batch[i].promise.set_exception(err);
+      batch[i].done({}, err);
       stats_->on_request(seconds_between(batch[i].enqueued_at, now), false);
     }
   }

@@ -3,7 +3,7 @@
 //
 //   client threads --submit()--> router --> shard queues --batcher--> workers
 //        ^                                                               |
-//        '------ future<InferenceResult> <---- scatter per-task logits --'
+//        '--- Completion (or future) <-------- scatter per-task logits --'
 //
 // The replica set is partitioned into shards: each shard owns one
 // RequestQueue (with its own admission control, tenant quotas and DRR
@@ -136,8 +136,17 @@ class ScServer {
   /// DeadlineExceededError / ThrottledError through the future; at
   /// capacity, Block exerts backpressure while Reject/ShedOldest deliver
   /// RejectedError instead of ever blocking. Throws std::runtime_error
-  /// after shutdown().
+  /// after shutdown(). This is submit(x, opts, promise_completion(...)).
   std::future<sc::InferenceResult> submit(Tensor x, SubmitOptions opts = {});
+
+  /// Push settlement: @p done is called exactly once with the result or
+  /// the error, on the thread that settles the request — a worker after
+  /// its batch, or inline (before this returns, or inside another
+  /// submitter's call for a ShedOldest eviction) for an admission outcome.
+  /// A worker calls it before the request is counted in stats(). When this
+  /// throws, @p done is never called. See RequestQueue::submit and
+  /// Completion for what @p done may do.
+  void submit(Tensor x, SubmitOptions opts, Completion done);
 
   /// Streaming request: each sample row of @p x gets its own future,
   /// settled in row order as the pipelined deployment emits chunks.

@@ -66,18 +66,22 @@ class SpinLock {
   std::atomic_flag flag_;
 };
 
-/// Monotone saturating counter. add() is a relaxed CAS loop — lock-free,
-/// allocation-free, clamping at INT64_MAX instead of wrapping.
+/// Monotone saturating counter. add() is a CAS loop — lock-free,
+/// allocation-free, clamping at INT64_MAX instead of wrapping. add()
+/// releases and value() acquires, so a reader that sees a count also sees
+/// what the writer did before counting (a server settles a request before
+/// it counts it).
 class Counter {
  public:
   void add(int64_t n) noexcept {
     int64_t cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, saturating_add(cur, n),
+                                     std::memory_order_release,
                                      std::memory_order_relaxed)) {
     }
   }
   void inc() noexcept { add(1); }
-  int64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
+  int64_t value() const noexcept { return v_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<int64_t> v_{0};

@@ -55,12 +55,12 @@ TEST(Admission, RejectDeliversTypedErrorInsteadOfBlocking) {
   EXPECT_EQ(q.size(), 2u);
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   auto f4 = q.submit(tiny_input());  // space again: admitted
   EXPECT_EQ(q.size(), 2u);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f4), 0);
 }
@@ -76,7 +76,7 @@ TEST(Admission, PerClassDepthLimitBindsIndependently) {
   EXPECT_EQ(q.size(), 2u);  // high class has no limit
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
 }
@@ -97,9 +97,9 @@ TEST(Admission, ShedOldestEvictsOldestOfLowestBackloggedClass) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.priority, serve::Priority::kHigh);  // priority pop order
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f_high), 0);
   EXPECT_EQ(settle_kind(f_norm), 0);
 }
@@ -118,7 +118,7 @@ TEST(Admission, ShedOldestNeverInvertsPriority) {
   EXPECT_EQ(q.size(), 2u);  // both high requests survived
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f_h1), 0);
   EXPECT_EQ(settle_kind(f_h2), 0);
 }
@@ -132,7 +132,7 @@ TEST(Admission, StreamRejectionSettlesEveryChunkFuture) {
   for (auto& c : chunks) EXPECT_EQ(settle_kind(c), 1);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
 }
 
@@ -146,10 +146,10 @@ TEST(Fairness, HighPriorityJumpsTheBacklog) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.priority, serve::Priority::kHigh);
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(fut), 0);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
 }
 
 TEST(Fairness, FloodingClientCannotStarveOthers) {
@@ -166,11 +166,11 @@ TEST(Fairness, FloodingClientCannotStarveOthers) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(q.pop(r));
     small_served += r.client_id == 2 ? 1 : 0;
-    r.promise.set_value(dummy_result());
+    r.done(dummy_result(), nullptr);
   }
   EXPECT_EQ(small_served, 5);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   for (auto& f : futs) EXPECT_EQ(settle_kind(f), 0);
 }
 
@@ -188,13 +188,13 @@ TEST(Fairness, DeficitAccountsRowsNotRequests) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(q.pop(r));
     (r.client_id == 1 ? rows1 : rows2) += r.rows();
-    r.promise.set_value(dummy_result());
+    r.done(dummy_result(), nullptr);
   }
   // Both lanes stayed backlogged for all 20 pops: row counts match within
   // one maximal request cost.
   EXPECT_LE(std::abs(rows1 - rows2), 4);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
 }
 
 TEST(Fairness, LargeRequestsServeWithoutQuantumSpin) {
@@ -207,10 +207,10 @@ TEST(Fairness, LargeRequestsServeWithoutQuantumSpin) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.client_id, 2u);  // cost 32 funded before cost 64
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.client_id, 1u);
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
 }
@@ -245,7 +245,7 @@ SweepOutcome run_queue_sweep(serve::AdmissionConfig cfg, uint64_t seed,
         if (r.streaming) {
           for (auto& p : r.chunk_promises) p.set_value(dummy_result());
         } else {
-          r.promise.set_value(dummy_result());
+          r.done(dummy_result(), nullptr);
         }
       }
     });

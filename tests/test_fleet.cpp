@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 
 #include "fleet/fleet.hpp"
@@ -201,6 +204,66 @@ void wait_dead(fleet::FleetRouter& router, size_t k,
   }
 }
 
+/// The fleet's settlement conservation law, read once shutdown() returned:
+/// every future submit() handed out settled exactly once, as a value or an
+/// error.
+void expect_balanced(const fleet::FleetRouter& router) {
+  const fleet::FleetStats s = router.stats();
+  EXPECT_EQ(s.submitted, s.settled_value + s.settled_error)
+      << "value " << s.settled_value << " + error " << s.settled_error
+      << " != submitted " << s.submitted;
+}
+
+/// Runs @p body on its own thread and aborts the test binary when it has
+/// not finished within @p budget: a deadlocked thread can be neither
+/// joined nor cancelled, so failing fast is the only bounded outcome.
+template <class F>
+void within(std::chrono::milliseconds budget, const char* what, F body) {
+  std::packaged_task<void()> task(std::move(body));
+  std::future<void> done = task.get_future();
+  std::thread runner(std::move(task));
+  if (done.wait_for(budget) != std::future_status::ready) {
+    std::fprintf(stderr, "%s: not finished within %lld ms (deadlock?)\n",
+                 what, static_cast<long long>(budget.count()));
+    std::fflush(stderr);
+    std::abort();
+  }
+  runner.join();
+  done.get();
+}
+
+/// Counts how each future settled; a future_error (double settlement or a
+/// broken promise) counts as neither.
+struct Outcomes {
+  int values = 0;
+  int rejected = 0;  ///< serve::RejectedError
+  int expired = 0;   ///< serve::DeadlineExceededError
+  int other = 0;
+};
+
+Outcomes settle_all(std::vector<std::future<sc::InferenceResult>>& futs) {
+  Outcomes o;
+  for (auto& f : futs) {
+    if (f.wait_for(30s) != std::future_status::ready) {
+      ADD_FAILURE() << "future never settled";
+      continue;
+    }
+    try {
+      (void)f.get();
+      ++o.values;
+    } catch (const serve::RejectedError&) {
+      ++o.rejected;
+    } catch (const serve::DeadlineExceededError&) {
+      ++o.expired;
+    } catch (const std::future_error& e) {
+      ADD_FAILURE() << "future_error: " << e.what();
+    } catch (...) {
+      ++o.other;
+    }
+  }
+  return o;
+}
+
 TEST(FleetE2E, ServesBitwiseIdenticalToSequentialInfer) {
   FleetRig rig;
   fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
@@ -225,6 +288,7 @@ TEST(FleetE2E, ServesBitwiseIdenticalToSequentialInfer) {
           << "client " << i << " task " << j << " not bitwise";
   }
   router.shutdown();
+  expect_balanced(router);
   const fleet::FleetStats s = router.stats();
   EXPECT_EQ(s.submitted, 24);
   EXPECT_EQ(s.settled_value, 24);
@@ -293,6 +357,7 @@ TEST(FleetChaos, KillNodeEveryFutureSettlesOnceAndReplicasRebuild) {
   EXPECT_EQ(live_replicas, 3u);
 
   router.shutdown();
+  expect_balanced(router);
   const fleet::FleetStats s = router.stats();
   EXPECT_EQ(s.deaths, 1);
   EXPECT_EQ(s.replicas_reminted, 1);
@@ -338,7 +403,130 @@ TEST(FleetChaos, NonIdempotentRequestGetsTypedNodeFailedError) {
   ASSERT_EQ(f_other.wait_for(30s), std::future_status::ready);
   EXPECT_NO_THROW((void)f_other.get());
   router.shutdown();
+  expect_balanced(router);
+  EXPECT_EQ(router.stats().submitted, 3);
   EXPECT_EQ(router.stats().settled_error, 1);
+}
+
+// ------------------------------------------------------ push settlement
+
+TEST(FleetPush, OuterFutureIsReadyOnceTheNodeCountsTheRequest) {
+  // Push settlement has no lag: a node's server runs the request's
+  // completion, which forwards into the outer promise, before it counts
+  // the request. So once the nodes' completed counts reach N, every outer
+  // future is already ready.
+  FleetRig rig;
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), rig.fleet_cfg(3));
+  constexpr int64_t kRequests = 48;
+  std::vector<std::future<sc::InferenceResult>> futs;
+  for (uint64_t c = 0; c < kRequests; ++c)
+    futs.push_back(router.submit(rig.input(500 + c), {.base = {.client_id = c}}));
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  for (;;) {
+    int64_t completed = 0;
+    for (size_t k = 0; k < router.num_nodes(); ++k)
+      completed += router.node_server(k).stats().completed;
+    if (completed == kRequests) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "nodes completed only " << completed << " of " << kRequests;
+    std::this_thread::yield();
+  }
+  for (size_t i = 0; i < futs.size(); ++i)
+    EXPECT_EQ(futs[i].wait_for(0s), std::future_status::ready)
+        << "request " << i << " counted by its node but not yet settled";
+  const Outcomes o = settle_all(futs);
+  EXPECT_EQ(o.values, kRequests);
+  router.shutdown();
+  expect_balanced(router);
+}
+
+// Lock order: a completion takes only the node's leaf lock, which is never
+// held across a call into the node's server. Each case below settles
+// requests on a thread that is inside ScServer::submit, or blocks a
+// submitter inside it; holding the node lock across that call would
+// deadlock, which within() turns into a failure.
+
+TEST(FleetLockOrder, BlockingAdmissionWithConcurrentSubmitters) {
+  FleetRig rig;
+  fleet::FleetConfig cfg = rig.fleet_cfg(2);
+  cfg.serve.admission.policy = serve::AdmissionPolicy::kBlock;
+  cfg.serve.admission.capacity = 1;
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), cfg);
+  constexpr int kThreads = 4, kPerThread = 12;
+  std::vector<std::vector<std::future<sc::InferenceResult>>> futs(kThreads);
+  within(60s, "kBlock submitters", [&] {
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t)
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const uint64_t c = static_cast<uint64_t>(t * kPerThread + i);
+          futs[t].push_back(
+              router.submit(rig.input(700 + c), {.base = {.client_id = c}}));
+        }
+      });
+    for (auto& th : submitters) th.join();
+    for (auto& f : futs) {
+      const Outcomes o = settle_all(f);
+      EXPECT_EQ(o.values, kPerThread);  // Block never refuses
+    }
+    router.shutdown();
+  });
+  expect_balanced(router);
+  EXPECT_EQ(router.stats().submitted, kThreads * kPerThread);
+}
+
+TEST(FleetLockOrder, ShedOldestSettlesAnOlderRequestInsideSubmit) {
+  // One node, capacity 1: while the worker computes, every newcomer finds
+  // the queue full and sheds the older queued request of the same node.
+  // That request's completion runs inside submit(), on the submitting
+  // thread, under the node's queue lock.
+  FleetRig rig;
+  fleet::FleetConfig cfg = rig.fleet_cfg(1);
+  cfg.serve.admission.policy = serve::AdmissionPolicy::kShedOldest;
+  cfg.serve.admission.capacity = 1;
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), cfg);
+  std::vector<std::future<sc::InferenceResult>> futs;
+  within(60s, "kShedOldest submitter", [&] {
+    const auto give_up = std::chrono::steady_clock::now() + 20s;
+    for (uint64_t c = 0;
+         c < 64 || (router.node_server(0).stats().shed == 0 &&
+                    std::chrono::steady_clock::now() < give_up);
+         ++c)
+      futs.push_back(router.submit(rig.input(900 + c % 8), {}));
+    const Outcomes o = settle_all(futs);
+    EXPECT_GT(o.rejected, 0) << "no request was shed";
+    EXPECT_GT(o.values, 0);
+    EXPECT_EQ(o.values + o.rejected, static_cast<int>(futs.size()));
+    router.shutdown();
+  });
+  expect_balanced(router);
+  const fleet::FleetStats s = router.stats();
+  EXPECT_EQ(s.submitted, static_cast<int64_t>(futs.size()));
+  EXPECT_EQ(s.settled_error, router.node_server(0).stats().shed);
+}
+
+TEST(FleetLockOrder, PreExpiredDeadlineSettlesInsideSubmit) {
+  FleetRig rig;
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), rig.fleet_cfg(2));
+  std::vector<std::future<sc::InferenceResult>> futs;
+  within(60s, "pre-expired submit", [&] {
+    const auto past = std::chrono::steady_clock::now() - 1ms;
+    for (uint64_t c = 0; c < 8; ++c) {
+      futs.push_back(router.submit(
+          rig.input(1100 + c), {.base = {.client_id = c, .deadline = past}}));
+      // Refused at admission: settled before submit() returned.
+      EXPECT_EQ(futs.back().wait_for(0s), std::future_status::ready);
+    }
+    const Outcomes o = settle_all(futs);
+    EXPECT_EQ(o.expired, 8);
+    router.shutdown();
+  });
+  expect_balanced(router);
+  EXPECT_EQ(router.stats().settled_error, 8);
 }
 
 // ------------------------------------------------------------ SWIM layer
@@ -362,6 +550,7 @@ TEST(FleetSwim, TotalProbeLossDeclaresDeadAndFailsRemainingWork) {
   EXPECT_THROW((void)router.submit(rig.input(5), {}),
                fleet::NodeFailedError);
   router.shutdown();
+  expect_balanced(router);
   const fleet::FleetStats s = router.stats();
   EXPECT_EQ(s.deaths, 1);
   EXPECT_EQ(s.acks_received, 0);
@@ -395,6 +584,7 @@ TEST(FleetSwim, SuspectedAliveNodeRefutesByBumpingItsIncarnation) {
   ASSERT_EQ(f.wait_for(30s), std::future_status::ready);
   EXPECT_NO_THROW((void)f.get());
   router.shutdown();
+  expect_balanced(router);
   EXPECT_EQ(router.stats().deaths, 0);
 }
 

@@ -55,7 +55,7 @@ TEST(RequestQueue, SubmitPopRoundTrip) {
   EXPECT_EQ(r.x.size(0), 1);
   sc::InferenceResult res;
   res.logits.push_back(Tensor({1, 2}, 3.0f));
-  r.promise.set_value(std::move(res));
+  r.done(std::move(res), nullptr);
   EXPECT_FLOAT_EQ(fut.get().logits[0][0], 3.0f);
   EXPECT_EQ(q.accepted(), 1u);
 }
@@ -109,8 +109,8 @@ TEST(DynamicBatcher, CoalescesBackloggedRequestsUpToMaxSize) {
   EXPECT_EQ(batch.size(), 4u);
   ASSERT_TRUE(b.next_batch(batch));
   EXPECT_EQ(batch.size(), 2u);
-  // Fulfil the promises so no future is abandoned with a broken promise.
-  for (auto& r : batch) r.promise.set_value({});
+  // Settle every request so no future is abandoned with a broken promise.
+  for (auto& r : batch) r.done({}, nullptr);
 }
 
 TEST(DynamicBatcher, ZeroWaitTakesOnlyWhatIsQueued) {

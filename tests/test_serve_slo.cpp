@@ -80,7 +80,7 @@ TEST(Deadline, QueuedRequestExpiresOnPop) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(settle_kind(f_dead), 5);  // kQueue: purged before service
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f_live), 0);
   EXPECT_EQ(q.expired(), 1u);
   EXPECT_EQ(q.size(), 0u);
@@ -110,7 +110,7 @@ TEST(Deadline, BlockedSubmitterExpiresInsteadOfWaitingForever) {
   EXPECT_EQ(q.expired(), 1u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f_fill), 0);
 }
 
@@ -135,7 +135,9 @@ TEST(Deadline, ExpireOverdueFiltersOnlyDeadRequestsPreservingOrder) {
     batch[i].deadline = i == 1
                             ? now - 1ms
                             : std::chrono::steady_clock::time_point::max();
-    futs.push_back(batch[i].promise.get_future());
+    std::promise<sc::InferenceResult> p;
+    futs.push_back(p.get_future());
+    batch[i].done = serve::promise_completion(std::move(p));
   }
   EXPECT_EQ(serve::expire_overdue(batch, now), 1u);
   ASSERT_EQ(batch.size(), 2u);
@@ -143,7 +145,7 @@ TEST(Deadline, ExpireOverdueFiltersOnlyDeadRequestsPreservingOrder) {
   EXPECT_EQ(batch[1].id, 2u);  // survivor order preserved
   EXPECT_EQ(settle_kind(futs[1]), 6);  // kDispatch
   for (size_t i : {0u, 2u}) {
-    batch[i == 0 ? 0 : 1].promise.set_value(dummy_result());
+    batch[i == 0 ? 0 : 1].done(dummy_result(), nullptr);
     EXPECT_EQ(settle_kind(futs[i]), 0);
   }
 }
@@ -163,7 +165,7 @@ TEST(Quota, BurstBoundsBackToBackSubmissions) {
   EXPECT_EQ(q.size(), 3u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f_other), 0);
@@ -185,7 +187,7 @@ TEST(Quota, CostIsRowsAndRetryAfterIsEstimated) {
   }
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
 }
 
@@ -201,7 +203,7 @@ TEST(Quota, BucketRefillsAtTheConfiguredRate) {
   EXPECT_EQ(q.throttled(), 1u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
 }
@@ -222,7 +224,7 @@ TEST(Quota, OversizedRequestIsPermanentlyThrottledNotRetryBaited) {
   auto f2 = q.submit(tiny_input(2), {.client_id = 1});
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f2), 0);
 }
 
@@ -237,12 +239,12 @@ TEST(Quota, CapacityRejectionRefundsTheTenantsTokens) {
   EXPECT_EQ(settle_kind(f2), 1);
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
-  r.promise.set_value(dummy_result());
+  r.done(dummy_result(), nullptr);
   // Without the refund the bucket would be empty now (two tokens charged
   // for one admitted request); the tenant must still hold one.
   auto f3 = q.submit(tiny_input(), {.client_id = 1});
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
   EXPECT_EQ(q.throttled(), 0u);
@@ -259,7 +261,7 @@ TEST(Quota, ThrottledFlooderNeverStarvesCompliantTenants) {
     serve::RequestQueue q(cfg);
     std::thread consumer([&q] {
       serve::Request r;
-      while (q.pop(r)) r.promise.set_value(dummy_result());
+      while (q.pop(r)) r.done(dummy_result(), nullptr);
     });
 
     constexpr size_t kFlood = 100, kCompliantEach = 25;
@@ -665,7 +667,7 @@ TEST(SloControl, SetCapacityShrinkRacingBlockedSubmittersStaysLive) {
     serve::Request r;
     while (q.pop(r)) {
       std::this_thread::sleep_for(300us);
-      r.promise.set_value(dummy_result());
+      r.done(dummy_result(), nullptr);
     }
   });
 
@@ -759,7 +761,7 @@ TEST(SloControl, SetCapacityIsALiveActuator) {
   auto f4 = q.submit(tiny_input());
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) r.done(dummy_result(), nullptr);
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f4), 0);
